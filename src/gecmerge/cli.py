@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .align import extract_edits
 from .combine import (
@@ -26,6 +25,7 @@ from .combine import (
     train_policy,
 )
 from .core import AnnotatedSentence, M2Corpus, OverlapError, apply_edits
+from .fileio import atomic_write
 from .m2 import M2ParseError, dump_m2, load_m2
 from .rng import SplitMix64
 from .score import CorpusAlignmentError, Score, match_edits
@@ -50,25 +50,18 @@ def _read_lines(path: str) -> list[str]:
         return [line.rstrip("\n").rstrip("\r") for line in fh]
 
 
-def _write_lines(path: str | None, lines: Sequence[str]) -> None:
+def _write_lines(path: str | None, lines: Iterable[str]) -> None:
     if path is None or path == "-":
         for line in lines:
             print(line)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for line in lines:
             fh.write(line + "\n")
 
 
 def _load_system(path: str) -> SystemOutput:
     return SystemOutput(Path(path).stem, load_m2(path))
-
-
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _fmt_score(score: Score) -> str:
@@ -120,12 +113,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
         )
     dictionary = load_dictionary(args.dict) if args.dict else frozenset()
 
-    def one(pair: tuple[str, str]) -> AnnotatedSentence:
-        source = tuple(pair[0].split())
-        target = tuple(pair[1].split())
-        return AnnotatedSentence(source, extract_edits(source, target, dictionary))
-
-    sentences = _map_maybe_parallel(one, list(zip(orig_lines, corrected_lines)), args.threads)
+    sentences = []
+    for orig, corrected in zip(orig_lines, corrected_lines):
+        source = tuple(orig.split())
+        sentences.append(
+            AnnotatedSentence(source, extract_edits(source, tuple(corrected.split()), dictionary))
+        )
     dump_m2(args.out, M2Corpus(tuple(sentences)))
     return 0
 
@@ -320,10 +313,7 @@ def cmd_spell_correct(args: argparse.Namespace) -> int:
         lines = _read_lines(args.input)
     else:
         lines = [line.rstrip("\n").rstrip("\r") for line in sys.stdin]
-    corrected = _map_maybe_parallel(
-        lambda line: " ".join(correct_sentence(line.split(), model)), lines, args.threads
-    )
-    _write_lines(args.output, corrected)
+    _write_lines(args.output, [" ".join(correct_sentence(line.split(), model)) for line in lines])
     return 0
 
 
@@ -387,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrected", required=True, help="tokenized corrected sentences, one per line")
     p.add_argument("-o", "--out", required=True, help="output M2 path")
     p.add_argument("--dict", default=None, help="dictionary word list for spelling labels")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (output order is fixed)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser(
@@ -489,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--output", default=None, help="output text path (default stdout)")
     q.add_argument("--min-known", type=int, default=3, help="count at which a word is known")
     q.add_argument("--min-candidate", type=int, default=20, help="count above which a word is suggestible")
-    q.add_argument("--threads", type=int, default=1, help="worker threads (output order is fixed)")
     q.set_defaults(func=cmd_spell_correct)
 
     p = sub.add_parser("synth", help="synthetic error generation")

@@ -33,6 +33,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .core import AnnotatedSentence, Edit, M2Corpus, spans_overlap
+from .fileio import atomic_write, json_field, json_object
 from .rng import SplitMix64
 from .score import check_same_sources, match_edits
 
@@ -417,30 +418,37 @@ def policy_to_json_dict(policy: SelectionPolicy) -> dict:
 
 
 def policy_from_json_dict(data: dict) -> SelectionPolicy:
+    """Policy from its JSON form; any missing key or wrong type is a ValueError."""
+    data = json_object(data, "policy")
     version = data.get("version")
     if version != POLICY_VERSION:
         raise ValueError(f"unsupported policy version {version!r}")
     entries: dict[tuple[str, Subset], PolicyEntry] = {}
-    for item in data["entries"]:
-        subset = Subset(item["subset"])
-        s = float(item["s"])
+    for item in json_field(data, "entries", list, "policy"):
+        item = json_object(item, "policy entry")
+        etype, subset, s, tp, fp = (
+            json_field(item, key, types, "policy entry")
+            for key, types in (("etype", str), ("subset", str), ("s", (int, float)), ("tp", int), ("fp", int))
+        )
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"selection value {s} outside [0, 1]")
-        entries[(item["etype"], subset)] = PolicyEntry(s, int(item["tp"]), int(item["fp"]))
-    metadata = data.get("metadata", {})
-    names = tuple(metadata.get("system_names", ())) + ("", "")
+        entries[(etype, Subset(subset))] = PolicyEntry(float(s), tp, fp)
+    metadata = json_object(data.get("metadata", {}), "policy metadata")
+    names = json_field(metadata, "system_names", list, "policy metadata", default=[])
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError("policy metadata: 'system_names' must hold strings")
     return SelectionPolicy(
-        beta=float(data["beta"]),
-        min_samples=int(data["min_samples"]),
+        beta=float(json_field(data, "beta", (int, float), "policy")),
+        min_samples=json_field(data, "min_samples", int, "policy"),
         entries=entries,
-        dev_name=metadata.get("dev_name", ""),
-        created=metadata.get("created", ""),
-        system_names=names[:2],
+        dev_name=json_field(metadata, "dev_name", str, "policy metadata", default=""),
+        created=json_field(metadata, "created", str, "policy metadata", default=""),
+        system_names=(tuple(names) + ("", ""))[:2],
     )
 
 
 def save_policy(path: str | os.PathLike, policy: SelectionPolicy) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(policy_to_json_dict(policy), fh, indent=2)
         fh.write("\n")
 

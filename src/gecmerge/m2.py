@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 
 from .core import AnnotatedSentence, Edit, M2Corpus, spans_overlap
+from .fileio import atomic_write
 
 NOOP_TYPE = "noop"
 NOOP_LINE = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0"
@@ -144,5 +145,5 @@ def load_m2(path: str | os.PathLike) -> M2Corpus:
 
 
 def dump_m2(path: str | os.PathLike, corpus: M2Corpus) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(write_m2(corpus))

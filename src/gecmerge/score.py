@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import floor, fsum
 
 from .core import M2Corpus
 
@@ -134,9 +134,13 @@ def precision_stability(n_samples: int, prec_dev: float, delta: float) -> float:
 
     Models the number of correct edits among `n_samples` as
     Binomial(n_samples, prec_dev) and returns
-    P(|X/n - prec_dev| >= delta) as an exact tail sum. The deviation
-    test is evaluated in rational arithmetic so boundary terms are
-    included consistently regardless of float rounding.
+    P(|X/n - prec_dev| >= delta) as a tail sum. The deviation test is
+    evaluated in rational arithmetic so boundary terms are included
+    consistently regardless of float rounding. The probabilities are
+    summed as weights relative to the mode, built outward with the ratio
+    P(k+1)/P(k) = (n-k)/(k+1) * p/(1-p), and divided by their total, so
+    no term overflows for any `n_samples`; weights too small for a float
+    are dropped.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -146,8 +150,22 @@ def precision_stability(n_samples: int, prec_dev: float, delta: float) -> float:
         raise ValueError("delta must be in [0, 1]")
     p = Fraction(prec_dev)
     d = Fraction(delta)
-    total = 0.0
-    for k in range(n_samples + 1):
-        if abs(Fraction(k, n_samples) - p) >= d:
-            total += comb(n_samples, k) * prec_dev**k * (1.0 - prec_dev) ** (n_samples - k)
-    return min(total, 1.0)
+    n = n_samples
+    in_tail = [abs(Fraction(k, n) - p) >= d for k in range(n + 1)]
+    if prec_dev in (0.0, 1.0):
+        # all mass sits on X = n * prec_dev
+        return float(in_tail[round(n * prec_dev)])
+    odds = prec_dev / (1.0 - prec_dev)
+    mode = min(n, floor((n + 1) * prec_dev))
+    weights = [0.0] * (n + 1)
+    weights[mode] = 1.0
+    for k in range(mode, n):
+        weights[k + 1] = weights[k] * (n - k) / (k + 1) * odds
+        if weights[k + 1] == 0.0:
+            break
+    for k in range(mode, 0, -1):
+        weights[k - 1] = weights[k] * k / (n - k + 1) / odds
+        if weights[k - 1] == 0.0:
+            break
+    tail = fsum(w for w, t in zip(weights, in_tail) if t)
+    return min(tail / fsum(weights), 1.0)

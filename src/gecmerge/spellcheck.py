@@ -7,13 +7,17 @@ is a suspect when it is rare (count below `known_min_count`), absent
 from the dictionary, contains no digit, is not all-uppercase, and has
 at least three characters.
 
-Suggestions are searched in three stages:
+A suspect's candidates are its one-edit neighbours: every string that
+differs from it by swapping one pair of positions holding different
+characters, or that sits at Levenshtein distance exactly 1 (one
+deletion, or one substitution or insertion of a character that occurs
+in some suggestible word). The neighbours are generated from the
+suspect and looked up, so a suggestion costs O(length x alphabet), not
+O(vocabulary). Suggestions are chosen in three stages:
 
-1. counted words with count above `candidate_min_count`, in descending
-   count order (ties lexicographic), accepting the first candidate that
-   differs from the suspect by swapping one pair of character positions
-   or that sits at Levenshtein distance exactly 1;
-2. the same tests over dictionary words in lexicographic order;
+1. the neighbour with the highest count above `candidate_min_count`
+   (ties lexicographic);
+2. the lexicographically smallest neighbour in the dictionary;
 3. the leftmost split of the suspect into two known words.
 
 Words with counts between `known_min_count` and `candidate_min_count`
@@ -28,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .distance import is_character_swap, is_levenshtein_one
+from .fileio import atomic_write
 
 DEFAULT_KNOWN_MIN_COUNT = 3
 DEFAULT_CANDIDATE_MIN_COUNT = 20
@@ -36,24 +40,21 @@ DEFAULT_CANDIDATE_MIN_COUNT = 20
 
 @dataclass
 class FrequencyModel:
-    """Word counts plus a dictionary, with precomputed candidate orders."""
+    """Word counts plus a dictionary, with the suggestible words' alphabet."""
 
     counts: dict[str, int]
     dictionary: frozenset[str]
     known_min_count: int = DEFAULT_KNOWN_MIN_COUNT
     candidate_min_count: int = DEFAULT_CANDIDATE_MIN_COUNT
-    _frequent: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _dict_sorted: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _alphabet: str = field(init=False, repr=False, compare=False)
+    _max_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dictionary = frozenset(self.dictionary)
-        self._frequent = tuple(
-            sorted(
-                (w for w, c in self.counts.items() if c > self.candidate_min_count),
-                key=lambda w: (-self.counts[w], w),
-            )
-        )
-        self._dict_sorted = tuple(sorted(self.dictionary))
+        suggestible = [w for w, c in self.counts.items() if c > self.candidate_min_count]
+        suggestible.extend(self.dictionary)
+        self._alphabet = "".join(sorted(set("".join(suggestible))))
+        self._max_len = max(map(len, suggestible), default=0)
 
     def in_dictionary(self, word: str) -> bool:
         """Case-sensitive membership with a lowercase fallback."""
@@ -106,12 +107,20 @@ def is_suspect(word: str, model: FrequencyModel) -> bool:
     return True
 
 
-def _close_enough(word: str, candidate: str) -> bool:
-    if len(word) == len(candidate):
-        return is_character_swap(word, candidate) or is_levenshtein_one(word, candidate)
-    if abs(len(word) - len(candidate)) == 1:
-        return is_levenshtein_one(word, candidate)
-    return False
+def _neighbours(word: str, alphabet: str) -> set[str]:
+    """Strings one deletion, substitution, insertion or swap away from `word`."""
+    splits = [(word[:i], word[i:]) for i in range(len(word) + 1)]
+    out = {head + tail[1:] for head, tail in splits if tail}
+    out.update(head + ch + tail[1:] for head, tail in splits if tail for ch in alphabet)
+    out.update(head + ch + tail for head, tail in splits for ch in alphabet)
+    out.update(
+        word[:i] + word[j] + word[i + 1:j] + word[i] + word[j + 1:]
+        for i in range(len(word))
+        for j in range(i + 1, len(word))
+        if word[i] != word[j]
+    )
+    out.discard(word)
+    return out
 
 
 def suggest(word: str, model: FrequencyModel) -> str | None:
@@ -121,12 +130,16 @@ def suggest(word: str, model: FrequencyModel) -> str | None:
     words separated by a space, for the split stage), so correction is
     idempotent.
     """
-    for candidate in model._frequent:
-        if _close_enough(word, candidate):
-            return candidate
-    for candidate in model._dict_sorted:
-        if _close_enough(word, candidate):
-            return candidate
+    # a suggestible word one edit away is at most one character shorter
+    if len(word) <= model._max_len + 1:
+        neighbours = _neighbours(word, model._alphabet)
+        counts, min_count = model.counts, model.candidate_min_count
+        frequent = [(-counts[w], w) for w in neighbours if counts.get(w, 0) > min_count]
+        if frequent:
+            return min(frequent)[1]
+        known = [w for w in neighbours if w in model.dictionary]
+        if known:
+            return min(known)
     for i in range(1, len(word)):
         left, right = word[:i], word[i:]
         if model.is_known(left) and model.is_known(right):
@@ -165,7 +178,7 @@ def correct_sentence(tokens: Sequence[str], model: FrequencyModel) -> list[str]:
 def save_model(path: str | os.PathLike, model: FrequencyModel) -> None:
     """Persist counts as "word<TAB>count", descending count then lexicographic."""
     rows = sorted(model.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for word, count in rows:
             fh.write(f"{word}\t{count}\n")
 

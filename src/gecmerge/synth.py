@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import AnnotatedSentence, Edit, M2Corpus, apply_edits, spans_overlap
+from .fileio import atomic_write, json_field, json_object
 from .rng import SplitMix64
 
 _ASSIGNMENT_CAP = 10_000
@@ -353,16 +354,27 @@ def distribution_to_json_dict(dist: ErrorDistribution) -> dict:
 
 
 def distribution_from_json_dict(data: dict) -> ErrorDistribution:
-    hist = {int(k): float(p) for k, p in data["per_sentence_hist"].items()}
-    freq = {
-        CorrectionId(item["source"], item["replacement"], item["etype"]): float(item["prob"])
-        for item in data["corrections"]
+    """Distribution from its JSON form; any missing key or wrong type is a ValueError."""
+    data = json_object(data, "distribution")
+    hist_json = json_field(data, "per_sentence_hist", dict, "distribution")
+    hist = {
+        int(k): float(json_field(hist_json, k, (int, float), "per_sentence_hist"))
+        for k in hist_json
     }
+    freq = {}
+    for item in json_field(data, "corrections", list, "distribution"):
+        item = json_object(item, "correction")
+        cid = CorrectionId(
+            json_field(item, "source", str, "correction"),
+            json_field(item, "replacement", str, "correction"),
+            json_field(item, "etype", str, "correction"),
+        )
+        freq[cid] = float(json_field(item, "prob", (int, float), "correction"))
     return ErrorDistribution(hist, freq)
 
 
 def save_distribution(path: str | os.PathLike, dist: ErrorDistribution) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(distribution_to_json_dict(dist), fh, indent=2)
         fh.write("\n")
 

@@ -9,7 +9,6 @@ rational arithmetic.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
 
 from gecmerge import AnnotatedSentence, Edit, M2Corpus, spans_overlap
 from gecmerge.combine import CellStats, StatsTable, Subset, SystemOutput
@@ -238,10 +237,21 @@ def random_stats_table(rng: random.Random, max_cells: int = 12, max_count: int =
 
 
 def binomial_deviation_oracle(n: int, p: float, delta: float) -> float:
-    """Exact-rational P(|X/n - p| >= delta) for X ~ Binomial(n, p)."""
+    """Exact-rational P(|X/n - p| >= delta) for X ~ Binomial(n, p).
+
+    With p = a/m in lowest terms, P(X = k) = C(n, k) a^k b^(n-k) / m^n
+    where b = m - a. The numerators are exact integers, each derived
+    from the previous one by an exact division, so large n stays fast.
+    """
     P, D = Fraction(p), Fraction(delta)
-    total = Fraction(0)
+    a, m = P.numerator, P.denominator
+    b = m - a
+    if a == 0 or b == 0:
+        return float(D == 0)  # all mass on X = n * p, which deviates by 0
+    term = b**n  # k = 0
+    total = 0
     for k in range(n + 1):
         if abs(Fraction(k, n) - P) >= D:
-            total += comb(n, k) * P**k * (1 - P) ** (n - k)
-    return float(total)
+            total += term
+        term = term * (n - k) * a // ((k + 1) * b)
+    return total / m**n

@@ -39,21 +39,6 @@ class TestExtract:
         assert all(not sent.edits for sent in corpus)
         assert _read(out).count("noop") == 2
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        rng = random.Random(3)
-        orig = tmp_path / "orig.txt"
-        corr = tmp_path / "corr.txt"
-        orig.write_text("\n".join("a b c d e" for _ in range(20)) + "\n", encoding="utf-8")
-        corr.write_text(
-            "\n".join(" ".join(rng.choice(["a", "b", "x"]) for _ in range(4)) for _ in range(20)) + "\n",
-            encoding="utf-8",
-        )
-        single = tmp_path / "single.m2"
-        multi = tmp_path / "multi.m2"
-        assert main(["extract", "--orig", str(orig), "--corrected", str(corr), "-o", str(single)]) == 0
-        assert main(["extract", "--orig", str(orig), "--corrected", str(corr), "-o", str(multi), "--threads", "4"]) == 0
-        assert _read(single) == _read(multi)
-
     def test_line_count_mismatch_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -190,6 +175,43 @@ class TestApplyPolicy:
         )
         assert rc == 0
         assert _read(out) == _read(DATA / "combined_golden.m2")
+
+
+_POLICY_OK = json.loads(_read(DATA / "policy_step1_golden.json"))
+_BAD_POLICIES = [
+    {"version": 1},
+    [],
+    "policy",
+    dict(_POLICY_OK, entries={}),
+    dict(_POLICY_OK, entries=[1]),
+    dict(_POLICY_OK, entries=[{"etype": "R:VERB", "subset": "both", "s": 1.0, "tp": 1}]),
+    dict(_POLICY_OK, entries=[{"etype": "R:VERB", "subset": "both", "s": "1", "tp": 1, "fp": 0}]),
+    dict(_POLICY_OK, entries=[{"etype": 7, "subset": "both", "s": 1.0, "tp": 1, "fp": 0}]),
+    dict(_POLICY_OK, beta=None),
+    dict(_POLICY_OK, min_samples=True),
+    dict(_POLICY_OK, metadata=[]),
+    dict(_POLICY_OK, metadata={"system_names": [1, 2]}),
+]
+
+
+@pytest.mark.parametrize("policy", _BAD_POLICIES)
+def test_malformed_policy_exits_2(tmp_path, capsys, policy):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(policy), encoding="utf-8")
+    rc = main(
+        [
+            "apply-policy",
+            "--system-a", str(DATA / "sys1.m2"),
+            "--system-b", str(DATA / "sys2.m2"),
+            "--policy", str(path),
+            "-o", str(tmp_path / "out.m2"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.m2").exists()
 
 
 class TestCombine:
@@ -392,6 +414,40 @@ class TestSynth:
         )
         assert rc == 2
         assert "zebra" in capsys.readouterr().err
+
+
+_DIST_OK = json.loads(_read(DATA / "synth_dist_golden.json"))
+_BAD_DISTRIBUTIONS = [
+    {},
+    [],
+    {"per_sentence_hist": {"0": 1.0}},
+    dict(_DIST_OK, per_sentence_hist=[1.0]),
+    dict(_DIST_OK, per_sentence_hist={"0": "1.0"}),
+    dict(_DIST_OK, per_sentence_hist={"zero": 1.0}),
+    dict(_DIST_OK, corrections={}),
+    dict(_DIST_OK, corrections=[None]),
+    dict(_DIST_OK, corrections=[{"source": "a", "replacement": "b", "etype": "R:X"}]),
+    dict(_DIST_OK, corrections=[{"source": "a", "replacement": 1, "etype": "R:X", "prob": 1.0}]),
+]
+
+
+@pytest.mark.parametrize("dist", _BAD_DISTRIBUTIONS)
+def test_malformed_distribution_exits_2(tmp_path, capsys, dist):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(dist), encoding="utf-8")
+    rc = main(
+        [
+            "synth", "generate",
+            "--pool", str(DATA / "synth_pool.txt"),
+            "--dist", str(path),
+            "-n", "2",
+            "-o", str(tmp_path / "gen"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestCliContract:

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -209,11 +211,39 @@ class TestPrecisionStability:
 
     def test_matches_rational_oracle(self):
         for n in (1, 7, 20, 33, 50):
-            for p in (0.0, 0.25, 0.5, 0.9, 1.0):
-                for delta in (0.05, 0.15, 0.5):
+            for p in (0.0, 0.25, 0.5, 0.6, 0.9, 1.0):
+                for delta in (0.0, 0.05, 0.15, 0.5):
                     got = precision_stability(n, p, delta)
                     want = binomial_deviation_oracle(n, p, delta)
-                    assert abs(got - want) < 1e-12
+                    assert abs(got - want) < 1e-12, (n, p, delta)
+
+    def test_matches_rational_oracle_large_n(self):
+        # tails from about 0.2 down to 5e-13, so the error bound is relative
+        for n in (2000, 5000):
+            for p in (0.25, 0.5, 0.6):
+                for delta in (0.01, 0.05):
+                    got = precision_stability(n, p, delta)
+                    want = binomial_deviation_oracle(n, p, delta)
+                    assert 0.0 < want < 1.0
+                    assert abs(got - want) <= 1e-10 * want, (n, p, delta)
+
+    def test_oracle_equals_direct_rational_sum(self):
+        for n in (1, 2, 9, 30):
+            for p in (0.0, 0.3, 0.6, 1.0):
+                for delta in (0.0, 0.1, 0.25):
+                    P, D = Fraction(p), Fraction(delta)
+                    direct = sum(
+                        comb(n, k) * P**k * (1 - P) ** (n - k)
+                        for k in range(n + 1)
+                        if abs(Fraction(k, n) - P) >= D
+                    )
+                    assert binomial_deviation_oracle(n, p, delta) == float(direct)
+
+    def test_sample_counts_past_float_range(self):
+        # comb(1030, 515) alone exceeds the largest float
+        got = precision_stability(1030, 0.6, 0.05)
+        assert 0.0 <= got <= 1.0
+        assert abs(got - binomial_deviation_oracle(1030, 0.6, 0.05)) < 1e-12
 
     def test_monotone_in_delta(self):
         values = [precision_stability(30, 0.5, d) for d in (0.05, 0.1, 0.2, 0.4)]

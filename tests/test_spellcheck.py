@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecmerge import build_model, correct_sentence, is_suspect, suggest
 from gecmerge.distance import (
@@ -162,6 +164,75 @@ class TestSuggest:
                 assert fixed.replace(" ", "") == word
             else:
                 assert is_character_swap(word, fixed) != is_levenshtein_one(word, fixed)
+
+
+def _scan_suggest(word, model):
+    """Reference suggest: test every suggestible word in ranking order."""
+
+    def close_enough(candidate):
+        if len(word) == len(candidate):
+            return is_character_swap(word, candidate) or is_levenshtein_one(word, candidate)
+        return is_levenshtein_one(word, candidate)
+
+    frequent = sorted(
+        (w for w, c in model.counts.items() if c > model.candidate_min_count),
+        key=lambda w: (-model.counts[w], w),
+    )
+    for candidate in frequent + sorted(model.dictionary):
+        if close_enough(candidate):
+            return candidate
+    for i in range(1, len(word)):
+        left, right = word[:i], word[i:]
+        if model.is_known(left) and model.is_known(right):
+            return f"{left} {right}"
+    return None
+
+
+VOCAB_LETTERS = "abcé"
+VOCAB_WORDS = st.text(alphabet=VOCAB_LETTERS, min_size=1, max_size=5)
+# "z" and "É" never occur in the vocabulary; lengths reach past the longest word + 1
+SUSPECTS = st.text(alphabet=VOCAB_LETTERS + "zÉ", max_size=9)
+
+
+@st.composite
+def _edited(draw, word):
+    """`word` with one random deletion, substitution, insertion or swap."""
+    i = draw(st.integers(0, len(word)))
+    ch = draw(st.sampled_from(VOCAB_LETTERS + "z"))
+    kind = draw(st.sampled_from(["delete", "substitute", "insert", "swap"]))
+    if kind == "insert" or i == len(word):
+        return word[:i] + ch + word[i:]
+    if kind == "delete":
+        return word[:i] + word[i + 1:]
+    if kind == "substitute":
+        return word[:i] + ch + word[i + 1:]
+    j = draw(st.integers(i, len(word) - 1))
+    return word[:i] + word[j] + word[i + 1:j] + word[i] + word[j + 1:] if j > i else word
+
+
+class TestSuggestMatchesScan:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_suggestion_as_full_scan(self, data):
+        counts = data.draw(st.dictionaries(VOCAB_WORDS, st.integers(1, 40), max_size=12))
+        dictionary = data.draw(st.frozensets(VOCAB_WORDS, max_size=12))
+        # either order of the two thresholds; a suspect may itself be suggestible
+        known_min = data.draw(st.integers(1, 30))
+        candidate_min = data.draw(st.integers(0, 30))
+        model = _model(counts, dictionary, known_min_count=known_min, candidate_min_count=candidate_min)
+        vocab = sorted(set(counts) | dictionary)
+        near = st.sampled_from(vocab).flatmap(_edited) if vocab else SUSPECTS
+        word = data.draw(st.one_of(SUSPECTS, near))
+        assert suggest(word, model) == _scan_suggest(word, model)
+
+    def test_very_long_suspect_has_no_suggestion(self):
+        model = _model({"the": 1000, "house": 500}, dictionary={"armadillo"})
+        assert suggest("q" * 10_000, model) is None
+
+    def test_neighbours_limited_to_one_edit(self):
+        model = _model({"abcd": 100})
+        assert suggest("abcdef", model) is None
+        assert suggest("dbca", model) == "abcd"
 
 
 class TestCorrectSentence:
