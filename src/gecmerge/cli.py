@@ -324,7 +324,9 @@ def cmd_synth_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_synth_generate(args: argparse.Namespace) -> int:
-    pool = [line.split() for line in _read_lines(args.pool) if line.strip()]
+    with open(args.pool, "r", encoding="utf-8") as fh:
+        # tuples, which the pool index keeps without copying
+        pool = [tuple(toks) for line in fh if (toks := line.split())]
     dist = load_distribution(args.dist)
     corrupted, clean, gold = generate_corpus(
         pool, dist, args.n, seed=args.seed, max_attempts=args.max_attempts

@@ -9,6 +9,13 @@ picks one uniformly, and injects the errors. The emitted gold edit set
 is the forward correction set with spans recomputed on the corrupted
 sentence, so applying it restores the clean sentence exactly.
 
+The pool index builds a token's posting set only when a draw first asks
+for it. When every drawn correction needs a one-token find and at most
+one of them deletes its find, applicability is decided by counting
+tokens: one-token spans are disjoint exactly when their positions
+differ and block no insertion point. Any other draw falls back to a
+search over the finds' occurrence spans.
+
 All randomness flows through one seeded SplitMix64 stream, making every
 generated corpus byte-reproducible from (pool, distribution, seed).
 """
@@ -16,9 +23,12 @@ generated corpus byte-reproducible from (pool, distribution, seed).
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
 from typing import Mapping, Sequence
 
 from .core import AnnotatedSentence, Edit, M2Corpus, apply_edits, spans_overlap
@@ -91,8 +101,8 @@ class ErrorDistribution:
         object.__setattr__(self, "per_sentence_hist", hist)
         object.__setattr__(self, "correction_freq", freq)
         for name, dist in (("per_sentence_hist", hist), ("correction_freq", freq)):
-            if any(p < 0 for p in dist.values()):
-                raise ValueError(f"{name} has a negative probability")
+            if any(not math.isfinite(p) or p < 0 for p in dist.values()):
+                raise ValueError(f"{name} has a negative or non-finite probability")
         if abs(sum(hist.values()) - 1.0) > 1e-9:
             raise ValueError("per_sentence_hist does not sum to 1")
         if freq:
@@ -144,26 +154,30 @@ class PoolIndex:
 
     Narrows the applicability scan to sentences containing every token a
     drawn correction needs, instead of re-checking the whole pool per
-    draw.
+    draw. A token's posting set is built on its first lookup and kept,
+    so a draw pays only for the tokens it asks for.
     """
 
     def __init__(self, pool: Sequence[Sequence[str]]):
         if not pool:
             raise ValueError("pool must be non-empty")
-        self.sentences: tuple[tuple[str, ...], ...] = tuple(tuple(s) for s in pool)
-        by_token: dict[str, set[int]] = {}
-        for i, sent in enumerate(self.sentences):
-            for tok in set(sent):
-                by_token.setdefault(tok, set()).add(i)
-        self.by_token = {tok: frozenset(ids) for tok, ids in by_token.items()}
+        self.sentences: tuple[tuple[str, ...], ...] = tuple(map(tuple, pool))
+        self._postings: dict[str, frozenset[int]] = {}
+
+    def _ids(self, tok: str) -> frozenset[int]:
+        ids = self._postings.get(tok)
+        if ids is None:
+            ids = frozenset(
+                compress(count(), map(operator.contains, self.sentences, repeat(tok)))
+            )
+            self._postings[tok] = ids
+        return ids
 
     def candidates(self, corrections: Sequence[CorrectionId]) -> list[int]:
         ids: frozenset[int] | None = None
         for c in corrections:
             for tok in c.find_tokens:
-                have = self.by_token.get(tok)
-                if have is None:
-                    return []
+                have = self._ids(tok)
                 ids = have if ids is None else ids & have
                 if not ids:
                     return []
@@ -183,15 +197,19 @@ def _occurrences(tokens: Sequence[str], seq: tuple[str, ...]) -> list[tuple[int,
 
 def _span_assignments(
     option_lists: Sequence[list[tuple[int, int]]],
+    removes: Sequence[bool],
     n_inserts: int,
     n_tokens: int,
     cap: int,
 ) -> list[tuple[tuple[int, int], ...]]:
     """Choices of pairwise-disjoint occurrence spans, one per correction.
 
-    Assignments that leave too few free positions for the insert-style
-    corrections are excluded. Enumeration stops at `cap` results, which
-    only matters for pathological draws.
+    `removes[i]` marks a correction whose reverse removes its span; its
+    gold edit is an insertion point, so two such spans may not touch
+    either, or their gold edits would coincide. Assignments that leave
+    too few free positions for the insert-style corrections are
+    excluded. Enumeration stops at `cap` results, which only matters
+    for pathological draws.
     """
     results: list[tuple[tuple[int, int], ...]] = []
     chosen: list[tuple[int, int]] = []
@@ -199,6 +217,14 @@ def _span_assignments(
     def capacity() -> int:
         blocked = sum(e - s - 1 for s, e in chosen if e > s)
         return n_tokens + 1 - blocked
+
+    def clashes(i: int, s: int, e: int) -> bool:
+        for j, (cs, ce) in enumerate(chosen):
+            if spans_overlap(s, e, cs, ce):
+                return True
+            if removes[i] and removes[j] and (e == cs or ce == s):
+                return True
+        return False
 
     def rec(i: int) -> None:
         if len(results) >= cap:
@@ -208,7 +234,7 @@ def _span_assignments(
                 results.append(tuple(chosen))
             return
         for span in option_lists[i]:
-            if all(not spans_overlap(span[0], span[1], s, e) for s, e in chosen):
+            if not clashes(i, *span):
                 chosen.append(span)
                 rec(i + 1)
                 chosen.pop()
@@ -219,13 +245,46 @@ def _span_assignments(
     return results
 
 
-def _applicable(tokens: Sequence[str], corrections: Sequence[CorrectionId]) -> bool:
+def _finders(
+    corrections: Sequence[CorrectionId],
+) -> tuple[list[CorrectionId], list[bool], int]:
+    """(corrections that need a find, which of them remove it, insert count)."""
     finders = [c for c in corrections if c.kind != "deletion"]
-    n_inserts = len(corrections) - len(finders)
+    removes = [c.kind == "insertion" for c in finders]
+    return finders, removes, len(corrections) - len(finders)
+
+
+def _applicable(tokens: Sequence[str], corrections: Sequence[CorrectionId]) -> bool:
+    finders, removes, n_inserts = _finders(corrections)
     option_lists = [_occurrences(tokens, c.find_tokens) for c in finders]
     if any(not options for options in option_lists):
         return False
-    return bool(_span_assignments(option_lists, n_inserts, len(tokens), cap=1))
+    return bool(_span_assignments(option_lists, removes, n_inserts, len(tokens), cap=1))
+
+
+def _applicable_ids(index: PoolIndex, corrections: Sequence[CorrectionId]) -> list[int]:
+    """Ascending ids of the pool sentences that admit every correction.
+
+    When each find is one token and at most one correction removes its
+    find, spans are disjoint exactly when their positions differ, the
+    touching rule never applies and no span blocks an insertion point,
+    so a candidate is applicable iff it holds each needed token as often
+    as it is needed and has room for the inserts. Other draws run the
+    span search on each candidate.
+    """
+    candidates = index.candidates(corrections)
+    finders, removes, n_inserts = _finders(corrections)
+    if sum(removes) > 1 or any(len(c.find_tokens) != 1 for c in finders):
+        return [i for i in candidates if _applicable(index.sentences[i], corrections)]
+    need = Counter(c.find_tokens[0] for c in finders)
+    repeated = [(tok, m) for tok, m in need.items() if m > 1]
+    sentences = index.sentences
+    return [
+        i
+        for i in candidates
+        if len(sentences[i]) + 1 >= n_inserts
+        and all(sentences[i].count(tok) >= m for tok, m in repeated)
+    ]
 
 
 def _corrupt(
@@ -234,11 +293,11 @@ def _corrupt(
     rng: SplitMix64,
 ) -> tuple[list[str], tuple[Edit, ...]]:
     """Inject the corrections backwards; return (corrupted, gold edits)."""
-    finders = [c for c in corrections if c.kind != "deletion"]
+    finders, removes, _ = _finders(corrections)
     inserters = [c for c in corrections if c.kind == "deletion"]
     option_lists = [_occurrences(clean, c.find_tokens) for c in finders]
     assignments = _span_assignments(
-        option_lists, len(inserters), len(clean), cap=_ASSIGNMENT_CAP
+        option_lists, removes, len(inserters), len(clean), cap=_ASSIGNMENT_CAP
     )
     spans = rng.choice(assignments) if finders or inserters else ()
     reverse: list[tuple[Edit, CorrectionId]] = [
@@ -280,6 +339,8 @@ def generate_pair(
     Raises GenerationExhaustedError when `max_attempts` consecutive
     draws find no applicable pool sentence.
     """
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     if rng is None:
         rng = SplitMix64(seed)
     if index is None:
@@ -292,10 +353,7 @@ def generate_pair(
         if k == 0:
             clean = list(index.sentences[rng.randrange(len(index.sentences))])
             return list(clean), clean, ()
-        applicable = [
-            i for i in index.candidates(corrections)
-            if _applicable(index.sentences[i], corrections)
-        ]
+        applicable = _applicable_ids(index, corrections)
         if not applicable:
             continue
         clean = index.sentences[rng.choice(applicable)]

@@ -2,10 +2,12 @@
 
 The oracles here deliberately avoid the library's own algorithms: the
 alignment oracle tries every monotone op sequence, the selection oracle
-walks all binary assignments, and the binomial oracle works in exact
-rational arithmetic.
+walks all binary assignments, the binomial oracle works in exact
+rational arithmetic, and the synth applicability oracle tries every
+combination of occurrence spans.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -255,3 +257,34 @@ def binomial_deviation_oracle(n: int, p: float, delta: float) -> float:
             total += term
         term = term * (n - k) * a // ((k + 1) * b)
     return total / m**n
+
+
+def synth_applicable_oracle(tokens, corrections) -> bool:
+    """Whether some choice of one occurrence per find admits every correction.
+
+    Tries every combination of occurrence spans. Spans must pairwise not
+    overlap; the spans of two insertion corrections must not touch
+    either, since undoing both would put their gold insertions at one
+    position; and the positions outside every span's interior must hold
+    the deletion corrections, one each.
+    """
+    finders = [c for c in corrections if c.kind != "deletion"]
+    n_inserts = len(corrections) - len(finders)
+    occurrences = []
+    for c in finders:
+        find = list(c.find_tokens)
+        w = len(find)
+        occurrences.append(
+            [(i, i + w) for i in range(len(tokens) - w + 1) if list(tokens[i:i + w]) == find]
+        )
+    for spans in itertools.product(*occurrences):
+        ok = True
+        for (a, (sa, ea)), (b, (sb, eb)) in itertools.combinations(enumerate(spans), 2):
+            if spans_overlap(sa, ea, sb, eb):
+                ok = False
+            elif finders[a].kind == finders[b].kind == "insertion" and (ea == sb or eb == sa):
+                ok = False
+        interior = {p for s, e in spans for p in range(s + 1, e)}
+        if ok and len(tokens) + 1 - len(interior) >= n_inserts:
+            return True
+    return False

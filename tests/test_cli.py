@@ -415,6 +415,20 @@ class TestSynth:
         assert rc == 2
         assert "zebra" in capsys.readouterr().err
 
+    def test_zero_max_attempts_exits_2(self, tmp_path, capsys):
+        rc = main(
+            [
+                "synth", "generate",
+                "--pool", str(DATA / "synth_pool.txt"),
+                "--dist", str(DATA / "synth_dist_golden.json"),
+                "-n", "1",
+                "--max-attempts", "0",
+                "-o", str(tmp_path / "gen"),
+            ]
+        )
+        assert rc == 2
+        assert "max_attempts must be >= 1" in capsys.readouterr().err
+
 
 _DIST_OK = json.loads(_read(DATA / "synth_dist_golden.json"))
 _BAD_DISTRIBUTIONS = [

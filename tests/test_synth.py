@@ -1,7 +1,10 @@
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecmerge import (
     AnnotatedSentence,
@@ -18,10 +21,13 @@ from gecmerge import (
 )
 from gecmerge.rng import SplitMix64
 from gecmerge.synth import (
+    PoolIndex,
+    _applicable_ids,
+    _corrupt,
     distribution_from_json_dict,
     distribution_to_json_dict,
 )
-from helpers import random_corpus
+from helpers import random_corpus, synth_applicable_oracle
 
 
 def _corpus(*sentences):
@@ -111,6 +117,13 @@ class TestMeasureDistribution:
         with pytest.raises(ValueError):
             ErrorDistribution({0: 1.0}, {CorrectionId("a", "b", "T"): 0.5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ErrorDistribution({0: bad}, {})
+        with pytest.raises(ValueError, match="non-finite"):
+            ErrorDistribution({1: 1.0}, {CorrectionId("a", "b", "T"): bad})
+
 
 class TestGeneratePair:
     def test_zero_edit_draw_copies_pool_sentence(self):
@@ -179,6 +192,55 @@ class TestGeneratePair:
         corrupted, clean, gold = generate_pair(double, dist, seed=13)
         assert corrupted == ["cat", "dog"]
         assert apply_edits(corrupted, gold) == clean
+
+    _ADJACENT_INSERTIONS = ErrorDistribution(
+        {2: 1.0},
+        {CorrectionId("", ",", "M:PUNCT"): 0.5, CorrectionId("", "the", "M:DET"): 0.5},
+    )
+
+    def test_adjacent_insertion_targets_are_not_applicable(self):
+        # undoing both would leave two gold insertions at one position
+        with pytest.raises(GenerationExhaustedError):
+            generate_corpus([["he", ",", "the", "dog"]], self._ADJACENT_INSERTIONS, 1, seed=0)
+
+    def test_separated_insertion_targets_generate(self):
+        pool = [["a", ",", "b", "the", "c"]]
+        for seed in range(10):
+            corrupted, clean, gold = generate_corpus(pool, self._ADJACENT_INSERTIONS, 3, seed=seed)
+            for sent, trg in zip(gold, clean):
+                assert apply_edits(sent.tokens, sent.edits) == trg.split()
+
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_max_attempts_must_be_positive(self, attempts):
+        dist = ErrorDistribution({0: 1.0}, {})
+        with pytest.raises(ValueError, match="max_attempts"):
+            generate_pair([["a"]], dist, seed=1, max_attempts=attempts)
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", ","])
+_FINDS = st.lists(_TOKENS, min_size=1, max_size=2).map(" ".join)
+_CORRECTIONS = st.one_of(
+    _FINDS.map(lambda find: CorrectionId("", find, "M:X")),
+    _FINDS.map(lambda text: CorrectionId(text, "", "U:X")),
+    _FINDS.map(lambda find: CorrectionId("x", find, "R:X")),
+)
+
+
+class TestApplicability:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.lists(_TOKENS, max_size=7), min_size=1, max_size=6),
+        st.lists(_CORRECTIONS, min_size=1, max_size=3),
+    )
+    def test_matches_exhaustive_span_search(self, pool, corrections):
+        applicable = _applicable_ids(PoolIndex(pool), corrections)
+        assert applicable == [
+            i for i, sent in enumerate(pool) if synth_applicable_oracle(sent, corrections)
+        ]
+        for i in applicable:
+            clean = tuple(pool[i])
+            corrupted, gold = _corrupt(clean, corrections, SplitMix64(i))
+            assert apply_edits(corrupted, gold) == list(clean)
 
 
 class TestGenerateCorpus:
