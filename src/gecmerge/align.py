@@ -94,21 +94,6 @@ def align_tokens(source: Sequence[str], target: Sequence[str]) -> list[Alignment
     return ops
 
 
-def alignment_cost(ops: Sequence[AlignmentOp], source: Sequence[str], target: Sequence[str]) -> float:
-    """Total cost of an op sequence under the align_tokens cost model."""
-    total = 0.0
-    for op in ops:
-        if op.kind == MATCH:
-            continue
-        if op.kind == SUBSTITUTE:
-            src_tok = source[op.src_start]
-            tgt_tok = target[op.tgt_start]
-            total += 0.5 if src_tok.lower() == tgt_tok.lower() else 1.0
-        else:
-            total += 1.0
-    return total
-
-
 _DETERMINERS = frozenset({"a", "an", "the"})
 
 _PREPOSITIONS = frozenset({

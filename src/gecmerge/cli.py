@@ -103,6 +103,20 @@ def _report_rows(hyp: M2Corpus, gold: M2Corpus, beta: float, annotator: int):
     return overall, (tp, fp, fn), rows
 
 
+def _report(args: argparse.Namespace, gold: M2Corpus, systems: dict[str, M2Corpus], **extra) -> None:
+    """Print each system's score against gold: one line each, or --json."""
+    scores = {
+        label: _report_rows(corpus, gold, args.beta, args.annotator)[:2]
+        for label, corpus in systems.items()
+    }
+    if args.json:
+        systems_json = {label: _score_json(sc, *counts) for label, (sc, counts) in scores.items()}
+        print(json.dumps({"beta": args.beta, **extra, "systems": systems_json}, indent=2))
+    else:
+        for label, (sc, _) in scores.items():
+            print(f"{label:<20} {_fmt_score(sc)}")
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     orig_lines = _read_lines(args.orig)
     corrected_lines = _read_lines(args.corrected)
@@ -148,33 +162,9 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
     save_policy(args.out, policy)
     report_a = SystemOutput(a.name, _subset_corpus(a.corpus, report_idx))
     report_b = SystemOutput(b.name, _subset_corpus(b.corpus, report_idx))
-    report_gold = _subset_corpus(gold, report_idx)
     combined = apply_policy(report_a, report_b, policy, seed=args.seed)
-    results = {}
-    for label, corpus in (
-        (a.name, report_a.corpus),
-        (b.name, report_b.corpus),
-        ("combined", combined),
-    ):
-        overall, counts, _ = _report_rows(corpus, report_gold, args.beta, args.annotator)
-        results[label] = (overall, counts)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "beta": args.beta,
-                    "holdout": args.holdout,
-                    "systems": {
-                        label: _score_json(sc, *counts)
-                        for label, (sc, counts) in results.items()
-                    },
-                },
-                indent=2,
-            )
-        )
-    else:
-        for label, (sc, _) in results.items():
-            print(f"{label:<20} {_fmt_score(sc)}")
+    systems = {a.name: report_a.corpus, b.name: report_b.corpus, "combined": combined}
+    _report(args, _subset_corpus(gold, report_idx), systems, holdout=args.holdout)
     return 0
 
 
@@ -226,26 +216,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     dump_m2(args.out, filtered)
     if args.policy:
         save_policy(args.policy, policy)
-    results = {}
-    for label, corpus in ((system.name, system.corpus), ("filtered", filtered)):
-        overall, counts, _ = _report_rows(corpus, gold, args.beta, args.annotator)
-        results[label] = (overall, counts)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "beta": args.beta,
-                    "systems": {
-                        label: _score_json(sc, *counts)
-                        for label, (sc, counts) in results.items()
-                    },
-                },
-                indent=2,
-            )
-        )
-    else:
-        for label, (sc, _) in results.items():
-            print(f"{label:<20} {_fmt_score(sc)}")
+    _report(args, gold, {system.name: system.corpus, "filtered": filtered})
     return 0
 
 

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 from .core import AnnotatedSentence, Edit, M2Corpus, spans_overlap
 from .fileio import atomic_write, json_field, json_object
 from .rng import SplitMix64
-from .score import check_same_sources, match_edits
+from .score import CorpusAlignmentError, check_same_sources
 
 POLICY_VERSION = 1
 
@@ -130,60 +130,59 @@ class SelectionPolicy:
         return entry.s if entry is not None else 0.0
 
 
-def partition_pair(a: SystemOutput, b: SystemOutput) -> dict[Subset, M2Corpus]:
-    """Split two systems' edits into the three agreement subsets.
+def partition_pair(a: SystemOutput, b: SystemOutput) -> list[list[tuple[Subset, Edit]]]:
+    """Tag each sentence's edits with the agreement subset they fall in.
 
     Edits are compared by (start, end, replacement) key per sentence;
-    corrections proposed by both systems land in BOTH carrying system
-    A's type label and annotator. The three corpora share the input
-    source sentences, their edit sets are pairwise key-disjoint, and
-    their union equals the union of the inputs.
+    corrections proposed by both systems are tagged BOTH and carry
+    system A's type label and annotator. One list per sentence holds the
+    BOTH, then ONLY_A, then ONLY_B edits, each group in (start, end,
+    annotator) order, which is the order apply_policy draws its random
+    numbers in. Keys are distinct within a list, and their union equals
+    the union of the inputs' keys; a key that one system repeats under
+    several annotators appears once, as its last annotator's edit.
     """
     check_same_sources(a.corpus, b.corpus)
-    only_a: list[AnnotatedSentence] = []
-    only_b: list[AnnotatedSentence] = []
-    both: list[AnnotatedSentence] = []
+    parts: list[list[tuple[Subset, Edit]]] = []
     for sent_a, sent_b in zip(a.corpus, b.corpus):
         keys_a = {e.key: e for e in sent_a.edits}
         keys_b = {e.key: e for e in sent_b.edits}
-        only_a.append(
-            AnnotatedSentence(sent_a.tokens, tuple(e for k, e in keys_a.items() if k not in keys_b))
-        )
-        only_b.append(
-            AnnotatedSentence(sent_a.tokens, tuple(e for k, e in keys_b.items() if k not in keys_a))
-        )
-        both.append(
-            AnnotatedSentence(sent_a.tokens, tuple(e for k, e in keys_a.items() if k in keys_b))
-        )
-    return {
-        Subset.ONLY_A: M2Corpus(tuple(only_a)),
-        Subset.ONLY_B: M2Corpus(tuple(only_b)),
-        Subset.BOTH: M2Corpus(tuple(both)),
-    }
+        tagged = [(Subset.BOTH if k in keys_b else Subset.ONLY_A, e) for k, e in keys_a.items()]
+        tagged += [(Subset.ONLY_B, e) for k, e in keys_b.items() if k not in keys_a]
+        tagged.sort(key=lambda p: (_SUBSET_RANK[p[0]], p[1].start, p[1].end, p[1].annotator))
+        parts.append(tagged)
+    return parts
 
 
 def build_stats(
-    parts: Mapping[Subset, M2Corpus],
+    parts: Sequence[Sequence[tuple[Subset, Edit]]],
     gold: M2Corpus,
     annotator: int = 0,
 ) -> StatsTable:
-    """Count per-cell TP/FP of each agreement subset against a reference.
+    """Count per-cell TP/FP of partition_pair's tagged edits in one pass.
 
-    Cells with neither true nor false positives are omitted; reference
-    totals come from the gold corpus alone, so FN per selection is
-    always gold_total minus the selected TP.
+    An edit is a true positive of the type of the reference edit with its
+    key, else a false positive of its own type; keys are distinct within
+    a sentence, so each reference edit matches at most once. Cells with
+    neither are omitted; reference totals come from the gold corpus
+    alone, so FN per selection is always gold_total minus the selected
+    TP. The tagged lists hold no tokens: callers check the sources.
     """
-    for corpus in parts.values():
-        check_same_sources(corpus, gold)
-    gold_counts = Counter(
-        e.etype for sent in gold for e in sent.edits if e.annotator == annotator
-    )
-    cells: list[CellStats] = []
-    for subset in (Subset.BOTH, Subset.ONLY_A, Subset.ONLY_B):
-        stats = match_edits(parts[subset], gold, annotator)
-        for etype, st in stats.items():
-            if st.tp or st.fp:
-                cells.append(CellStats(etype, subset, st.tp, st.fp))
+    if len(parts) != len(gold):
+        raise CorpusAlignmentError(
+            min(len(parts), len(gold)),
+            f"sentence counts differ ({len(parts)} vs {len(gold)})",
+        )
+    gold_counts: Counter[str] = Counter()
+    counts: dict[tuple[str, Subset], list[int]] = {}
+    for tagged, gold_sent in zip(parts, gold):
+        gold_by_key = {e.key: e for e in gold_sent.edits if e.annotator == annotator}
+        gold_counts.update(ref.etype for ref in gold_by_key.values())
+        for subset, e in tagged:
+            ref = gold_by_key.get(e.key)
+            tp_fp = counts.setdefault((e.etype if ref is None else ref.etype, subset), [0, 0])
+            tp_fp[ref is None] += 1
+    cells = [CellStats(etype, subset, tp, fp) for (etype, subset), (tp, fp) in counts.items()]
     cells.sort(key=lambda c: (c.etype, c.subset.value))
     return StatsTable(tuple(cells), dict(gold_counts), sum(gold_counts.values()))
 
@@ -255,6 +254,7 @@ def train_policy(
 ) -> SelectionPolicy:
     """Partition, count, and optimize in one step, recording provenance."""
     parts = partition_pair(a, b)
+    check_same_sources(a.corpus, gold)
     stats = build_stats(parts, gold, annotator)
     policy = optimize_selection(stats, beta=beta, min_samples=min_samples, rounding=rounding)
     return replace(
@@ -278,22 +278,20 @@ def apply_policy(
     start, shorter span, smaller replacement. Kept edits are emitted as
     annotator 0, since the merged corpus represents a single system.
     """
-    parts = partition_pair(a, b)
     rng = SplitMix64(seed)
     out_sentences: list[AnnotatedSentence] = []
-    for idx, source in enumerate(a.corpus):
+    for source, tagged in zip(a.corpus, partition_pair(a, b)):
         kept: list[tuple[Subset, Edit]] = []
-        for subset in (Subset.BOTH, Subset.ONLY_A, Subset.ONLY_B):
-            for e in parts[subset][idx].edits:
-                s = policy.s_value(e.etype, subset)
-                if s >= 1.0:
-                    keep = True
-                elif s <= 0.0:
-                    keep = False
-                else:
-                    keep = rng.random() < s
-                if keep:
-                    kept.append((subset, e))
+        for subset, e in tagged:
+            s = policy.s_value(e.etype, subset)
+            if s >= 1.0:
+                keep = True
+            elif s <= 0.0:
+                keep = False
+            else:
+                keep = rng.random() < s
+            if keep:
+                kept.append((subset, e))
         kept.sort(
             key=lambda pair: (
                 _SUBSET_RANK[pair[0]],

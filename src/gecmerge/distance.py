@@ -3,23 +3,6 @@
 from __future__ import annotations
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Plain edit distance: insert, delete, substitute, all cost 1."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
 def damerau_levenshtein(a: str, b: str) -> int:
     """Edit distance counting an adjacent transposition as one operation."""
     if a == b:

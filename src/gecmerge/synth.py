@@ -58,7 +58,8 @@ class CorrectionId:
 
     `source_text` is the corrected span's original text (empty for a
     correction that inserts text); `replacement` is the text it became
-    (empty for a correction that deletes text).
+    (empty for a correction that deletes text). Both are single-spaced
+    token text, as in an `Edit`, and `etype` is non-empty.
     """
 
     source_text: str
@@ -66,6 +67,14 @@ class CorrectionId:
     etype: str
 
     def __post_init__(self):
+        for name, text in (("source", self.source_text), ("replacement", self.replacement)):
+            if text != " ".join(text.split()):
+                raise ValueError(
+                    f"correction {name} {text!r} is not canonical "
+                    "(single spaces, no leading or trailing whitespace)"
+                )
+        if not self.etype:
+            raise ValueError("correction etype must be non-empty")
         if not self.source_text and not self.replacement:
             raise ValueError("correction must change something")
 

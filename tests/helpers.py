@@ -3,17 +3,24 @@
 The oracles here deliberately avoid the library's own algorithms: the
 alignment oracle tries every monotone op sequence, the selection oracle
 walks all binary assignments, the binomial oracle works in exact
-rational arithmetic, and the synth applicability oracle tries every
-combination of occurrence spans.
+rational arithmetic, the synth applicability oracle tries every
+combination of occurrence spans, and the combine statistics oracle
+builds the three agreement-subset corpora and scores each with
+match_edits. Reference functions that only tests use (an op sequence's
+alignment cost, plain Levenshtein distance) live here too.
 """
 
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from typing import Sequence
 
 from gecmerge import AnnotatedSentence, Edit, M2Corpus, spans_overlap
+from gecmerge.align import MATCH, SUBSTITUTE, AlignmentOp
 from gecmerge.combine import CellStats, StatsTable, Subset, SystemOutput
+from gecmerge.score import check_same_sources, match_edits
 
 VOCAB = (
     "the a an cat dog sat on mat he she it go goes home fast very in at "
@@ -66,28 +73,58 @@ def random_corpus(
     return M2Corpus(tuple(sentences))
 
 
-def random_system_pair(rng: random.Random, min_sentences: int = 2, max_sentences: int = 6):
+def random_system_pair(
+    rng: random.Random,
+    min_sentences: int = 2,
+    max_sentences: int = 6,
+    annotators: tuple[int, ...] = (0,),
+):
     """Two systems over shared sources, with some corrections in common.
 
     Cross-system overlapping-but-different edits are possible, which is
-    what partition algebra tests need.
+    what partition algebra tests need. With several annotators, each
+    picks from the same shared edits, so one system can repeat a key
+    under several annotators.
     """
     sents_a, sents_b = [], []
     for _ in range(rng.randint(min_sentences, max_sentences)):
         tokens = random_tokens(rng)
         shared = random_edits(rng, len(tokens), max_edits=3)
-        a = [e for e in shared if rng.random() < 0.7]
-        b = [e for e in shared if rng.random() < 0.7]
-        for target in (a, b):
-            for e in random_edits(rng, len(tokens), max_edits=2):
-                if all(not spans_overlap(e.start, e.end, x.start, x.end) for x in target):
-                    target.append(e)
-        sents_a.append(AnnotatedSentence(tokens, tuple(a)))
-        sents_b.append(AnnotatedSentence(tokens, tuple(b)))
+        edits_a, edits_b = [], []
+        for annotator in annotators:
+            a = [replace(e, annotator=annotator) for e in shared if rng.random() < 0.7]
+            b = [replace(e, annotator=annotator) for e in shared if rng.random() < 0.7]
+            for target in (a, b):
+                for e in random_edits(rng, len(tokens), max_edits=2, annotator=annotator):
+                    if all(not spans_overlap(e.start, e.end, x.start, x.end) for x in target):
+                        target.append(e)
+            edits_a += a
+            edits_b += b
+        sents_a.append(AnnotatedSentence(tokens, tuple(edits_a)))
+        sents_b.append(AnnotatedSentence(tokens, tuple(edits_b)))
     return (
         SystemOutput("a", M2Corpus(tuple(sents_a))),
         SystemOutput("b", M2Corpus(tuple(sents_b))),
     )
+
+
+def random_gold(rng: random.Random, a: SystemOutput, b: SystemOutput, annotators=(0, 1)) -> M2Corpus:
+    """A reference over the systems' sources whose annotators each take
+    some of the systems' corrections (relabelled) plus random ones."""
+    sentences = []
+    for sent_a, sent_b in zip(a.corpus, b.corpus):
+        edits: list[Edit] = []
+        for annotator in annotators:
+            chosen: list[Edit] = []
+            pool = sent_a.edits + sent_b.edits + random_edits(rng, len(sent_a.tokens))
+            for e in pool:
+                if rng.random() < 0.5 and all(
+                    not spans_overlap(e.start, e.end, x.start, x.end) for x in chosen
+                ):
+                    chosen.append(Edit(e.start, e.end, rng.choice(ETYPES), e.replacement, annotator))
+            edits += chosen
+        sentences.append(AnnotatedSentence(sent_a.tokens, tuple(edits)))
+    return M2Corpus(tuple(sentences))
 
 
 def slot_fixture(rng: random.Random, n_systems: int = 2, n_sentences: int = 8):
@@ -154,6 +191,38 @@ def perturb_tokens(rng: random.Random, tokens) -> list[str]:
         if rng.random() < 0.12:
             out.append(rng.choice(VOCAB))
     return out
+
+
+def alignment_cost(ops: Sequence[AlignmentOp], source: Sequence[str], target: Sequence[str]) -> float:
+    """Total cost of an op sequence under the align_tokens cost model."""
+    total = 0.0
+    for op in ops:
+        if op.kind == MATCH:
+            continue
+        if op.kind == SUBSTITUTE:
+            src_tok = source[op.src_start]
+            tgt_tok = target[op.tgt_start]
+            total += 0.5 if src_tok.lower() == tgt_tok.lower() else 1.0
+        else:
+            total += 1.0
+    return total
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Plain edit distance: insert, delete, substitute, all cost 1."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
 
 
 def exhaustive_alignment_cost(source, target) -> float:
@@ -236,6 +305,44 @@ def random_stats_table(rng: random.Random, max_cells: int = 12, max_count: int =
     gold_per_type = {t: tp_per_type[t] + rng.randint(0, 10) for t in types}
     cells.sort(key=lambda c: (c.etype, c.subset.value))
     return StatsTable(tuple(cells), gold_per_type, sum(gold_per_type.values()))
+
+
+def subset_corpora_oracle(a: SystemOutput, b: SystemOutput) -> dict[Subset, M2Corpus]:
+    """The agreement subsets as three validated corpora over A's sources.
+
+    Keys are compared per sentence; a key both systems propose takes
+    system A's edit, and a key one system repeats under several
+    annotators keeps its last annotator's edit. Each AnnotatedSentence
+    puts its edits in (start, end, annotator) order.
+    """
+    check_same_sources(a.corpus, b.corpus)
+    sentences: dict[Subset, list[AnnotatedSentence]] = {subset: [] for subset in Subset}
+    for sent_a, sent_b in zip(a.corpus, b.corpus):
+        keys_a = {e.key: e for e in sent_a.edits}
+        keys_b = {e.key: e for e in sent_b.edits}
+        members = {
+            Subset.ONLY_A: [e for k, e in keys_a.items() if k not in keys_b],
+            Subset.ONLY_B: [e for k, e in keys_b.items() if k not in keys_a],
+            Subset.BOTH: [e for k, e in keys_a.items() if k in keys_b],
+        }
+        for subset, edits in members.items():
+            sentences[subset].append(AnnotatedSentence(sent_a.tokens, tuple(edits)))
+    return {subset: M2Corpus(tuple(sents)) for subset, sents in sentences.items()}
+
+
+def stats_oracle(corpora: dict[Subset, M2Corpus], gold: M2Corpus, annotator: int = 0) -> StatsTable:
+    """Cell counts summed from one match_edits run per subset corpus."""
+    gold_counts = Counter(
+        e.etype for sent in gold for e in sent.edits if e.annotator == annotator
+    )
+    cells = [
+        CellStats(etype, subset, st.tp, st.fp)
+        for subset, corpus in corpora.items()
+        for etype, st in match_edits(corpus, gold, annotator).items()
+        if st.tp or st.fp
+    ]
+    cells.sort(key=lambda c: (c.etype, c.subset.value))
+    return StatsTable(tuple(cells), gold_counts, sum(gold_counts.values()))
 
 
 def binomial_deviation_oracle(n: int, p: float, delta: float) -> float:

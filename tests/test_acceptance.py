@@ -32,10 +32,11 @@ from gecmerge import (
     train_policy,
     write_m2,
 )
-from gecmerge.align import align_tokens, alignment_cost
+from gecmerge.align import align_tokens
 from gecmerge.combine import PolicyEntry, SelectionPolicy, Subset, SystemOutput
 from gecmerge.synth import CorrectionId, ErrorDistribution
 from helpers import (
+    alignment_cost,
     binomial_deviation_oracle,
     brute_force_best_f,
     exhaustive_alignment_cost,
@@ -415,9 +416,10 @@ def test_criterion_9_partition_algebra():
         for idx in range(len(a.corpus)):
             keys_a = {e.key for e in a.corpus[idx].edits}
             keys_b = {e.key for e in b.corpus[idx].edits}
-            only_a = {e.key for e in parts[Subset.ONLY_A][idx].edits}
-            only_b = {e.key for e in parts[Subset.ONLY_B][idx].edits}
-            both = {e.key for e in parts[Subset.BOTH][idx].edits}
+            only_a, only_b, both = (
+                {e.key for tag, e in parts[idx] if tag == subset}
+                for subset in (Subset.ONLY_A, Subset.ONLY_B, Subset.BOTH)
+            )
             if only_a | both != keys_a or only_b | both != keys_b:
                 ok = False
             if only_a & both or only_b & both or only_a & only_b:

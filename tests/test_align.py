@@ -3,8 +3,7 @@ import random
 import pytest
 
 from gecmerge import align_tokens, apply_edits, classify_edit, extract_edits
-from gecmerge.align import alignment_cost
-from helpers import exhaustive_alignment_cost, perturb_tokens, random_tokens
+from helpers import alignment_cost, exhaustive_alignment_cost, perturb_tokens, random_tokens
 
 SMALL_DICT = frozenset(
     "the a cat dog go goes home good new york armadillo".split()

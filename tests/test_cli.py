@@ -146,6 +146,22 @@ class TestTrainPolicy:
         assert report["holdout"] == 0.5
         assert set(report["systems"]) == {"a", "b", "combined"}
 
+    def test_gold_token_mismatch_exits_2(self, tmp_path, capsys):
+        gold = tmp_path / "gold.m2"
+        gold.write_text(_read(DATA / "gold.m2").replace("S dogs is", "S cats is"), encoding="utf-8")
+        rc = main(
+            [
+                "train-policy",
+                "--system-a", str(DATA / "sys1.m2"),
+                "--system-b", str(DATA / "sys2.m2"),
+                "--gold", str(gold),
+                "-o", str(tmp_path / "p.json"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: sentence 1: source tokens differ\n"
+        assert not (tmp_path / "p.json").exists()
+
     def test_invalid_holdout_exits_2(self, tmp_path):
         gold = str(DATA / "gold.m2")
         rc = main(
@@ -443,6 +459,33 @@ _BAD_DISTRIBUTIONS = [
     dict(_DIST_OK, corrections=[{"source": "a", "replacement": "b", "etype": "R:X"}]),
     dict(_DIST_OK, corrections=[{"source": "a", "replacement": 1, "etype": "R:X", "prob": 1.0}]),
 ]
+
+
+@pytest.mark.parametrize(
+    "source, replacement, etype",
+    [(" ", "a", "R:X"), ("a", " the", "R:X"), ("a", "the  cat", "R:X"), ("a b ", "", "U:X"), ("a", "b", "")],
+)
+def test_non_canonical_correction_exits_2(tmp_path, capsys, source, replacement, etype):
+    # every draw takes zero corrections, so only a check at load time can fail
+    dist = {
+        "per_sentence_hist": {"0": 1.0},
+        "corrections": [{"source": source, "replacement": replacement, "etype": etype, "prob": 1.0}],
+    }
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(dist), encoding="utf-8")
+    rc = main(
+        [
+            "synth", "generate",
+            "--pool", str(DATA / "synth_pool.txt"),
+            "--dist", str(path),
+            "-n", "2",
+            "-o", str(tmp_path / "gen"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: correction ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("dist", _BAD_DISTRIBUTIONS)

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecmerge import (
     AnnotatedSentence,
@@ -23,15 +25,20 @@ from gecmerge.combine import (
     StatsTable,
     Subset,
     SystemOutput,
+    empty_system,
     policy_from_json_dict,
     policy_to_json_dict,
 )
+from gecmerge.score import CorpusAlignmentError
 from helpers import (
     brute_force_best_f,
     policy_f,
+    random_gold,
     random_stats_table,
     random_system_pair,
     slot_fixture,
+    stats_oracle,
+    subset_corpora_oracle,
 )
 
 
@@ -44,8 +51,8 @@ def _system(name, tokens, *edit_sets):
     )
 
 
-def _sentence_keys(corpus):
-    return [frozenset(e.key for e in sent.edits) for sent in corpus]
+def _sentence_keys(parts, subset):
+    return [frozenset(e.key for tag, e in tagged if tag == subset) for tagged in parts]
 
 
 class TestPartitionPair:
@@ -57,18 +64,18 @@ class TestPartitionPair:
         parts = partition_pair(
             _system("a", tokens, (e1, e2)), _system("b", tokens, (e2, e3))
         )
-        assert _sentence_keys(parts[Subset.ONLY_A]) == [frozenset({e1.key})]
-        assert _sentence_keys(parts[Subset.BOTH]) == [frozenset({e2.key})]
-        assert _sentence_keys(parts[Subset.ONLY_B]) == [frozenset({e3.key})]
+        assert _sentence_keys(parts, Subset.ONLY_A) == [frozenset({e1.key})]
+        assert _sentence_keys(parts, Subset.BOTH) == [frozenset({e2.key})]
+        assert _sentence_keys(parts, Subset.ONLY_B) == [frozenset({e3.key})]
 
     def test_identical_systems(self):
         tokens = [("a", "b")]
         e1 = Edit(0, 1, "T", "x")
         a = _system("a", tokens, (e1,))
         parts = partition_pair(a, _system("b", tokens, (e1,)))
-        assert _sentence_keys(parts[Subset.BOTH]) == [frozenset({e1.key})]
-        assert _sentence_keys(parts[Subset.ONLY_A]) == [frozenset()]
-        assert _sentence_keys(parts[Subset.ONLY_B]) == [frozenset()]
+        assert _sentence_keys(parts, Subset.BOTH) == [frozenset({e1.key})]
+        assert _sentence_keys(parts, Subset.ONLY_A) == [frozenset()]
+        assert _sentence_keys(parts, Subset.ONLY_B) == [frozenset()]
 
     def test_disjoint_systems_have_empty_both(self):
         tokens = [("a", "b", "c")]
@@ -76,7 +83,7 @@ class TestPartitionPair:
             _system("a", tokens, (Edit(0, 1, "T", "x"),)),
             _system("b", tokens, (Edit(1, 2, "T", "y"),)),
         )
-        assert _sentence_keys(parts[Subset.BOTH]) == [frozenset()]
+        assert _sentence_keys(parts, Subset.BOTH) == [frozenset()]
 
     def test_both_takes_a_label(self):
         tokens = [("a", "b")]
@@ -84,7 +91,7 @@ class TestPartitionPair:
             _system("a", tokens, (Edit(0, 1, "R:ALabel", "x"),)),
             _system("b", tokens, (Edit(0, 1, "R:BLabel", "x"),)),
         )
-        assert parts[Subset.BOTH][0].edits[0].etype == "R:ALabel"
+        assert [(tag, e.etype) for tag, e in parts[0]] == [(Subset.BOTH, "R:ALabel")]
 
     def test_partition_algebra_random(self):
         rng = random.Random(41)
@@ -94,12 +101,28 @@ class TestPartitionPair:
             for idx in range(len(a.corpus)):
                 keys_a = {e.key for e in a.corpus[idx].edits}
                 keys_b = {e.key for e in b.corpus[idx].edits}
-                only_a = {e.key for e in parts[Subset.ONLY_A][idx].edits}
-                only_b = {e.key for e in parts[Subset.ONLY_B][idx].edits}
-                both = {e.key for e in parts[Subset.BOTH][idx].edits}
+                only_a, only_b, both = (
+                    {e.key for tag, e in parts[idx] if tag == subset}
+                    for subset in (Subset.ONLY_A, Subset.ONLY_B, Subset.BOTH)
+                )
                 assert only_a | both == keys_a
                 assert only_b | both == keys_b
                 assert not (only_a & both) and not (only_b & both) and not (only_a & only_b)
+                assert len(parts[idx]) == len(only_a | only_b | both)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([(0,), (0, 1), (0, 1, 2)]))
+    def test_tagged_lists_follow_subset_corpora(self, rng, annotators):
+        # apply_policy draws in list order, so the order within a subset matters
+        a, b = random_system_pair(rng, annotators=annotators)
+        corpora = subset_corpora_oracle(a, b)
+        for idx, tagged in enumerate(partition_pair(a, b)):
+            expected = [
+                (subset, e)
+                for subset in (Subset.BOTH, Subset.ONLY_A, Subset.ONLY_B)
+                for e in corpora[subset][idx].edits
+            ]
+            assert tagged == expected
 
 
 class TestBuildStats:
@@ -158,6 +181,24 @@ class TestBuildStats:
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             StatsTable((CellStats("T", Subset.BOTH, 5, 0),), {"T": 3}, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from([(0,), (0, 1), (0, 1, 2)]),
+        st.sampled_from([0, 1]),
+    )
+    def test_one_pass_count_matches_subset_scoring(self, rng, annotators, annotator):
+        a, b = random_system_pair(rng, annotators=annotators)
+        gold = random_gold(rng, a, b)
+        want = stats_oracle(subset_corpora_oracle(a, b), gold, annotator)
+        assert build_stats(partition_pair(a, b), gold, annotator) == want
+
+    def test_sentence_count_mismatch(self):
+        a, b = random_system_pair(random.Random(5), min_sentences=3)
+        parts = partition_pair(a, b)
+        with pytest.raises(CorpusAlignmentError, match="sentence counts differ"):
+            build_stats(parts[:-1], a.corpus)
         with pytest.raises(ValueError):
             StatsTable((), {"T": 3}, 4)
 
@@ -474,6 +515,60 @@ class TestApplyPolicy:
         assert 60 < kept < 140
         other = apply_policy(a, a, policy, seed=124)
         assert other != first
+
+    def test_sampling_draws_in_annotator_order(self):
+        # A proposes "x" under annotators 0 and 2 and "y" under 1; "x" counts
+        # once, as annotator 2's edit, so "y" takes the first draw
+        tokens = [("a", "b", "c")]
+        a = _system(
+            "a",
+            tokens,
+            (Edit(0, 1, "T", "x", 0), Edit(0, 1, "U", "y", 1), Edit(0, 1, "T", "x", 2)),
+        )
+        policy = SelectionPolicy(
+            beta=0.5,
+            min_samples=0,
+            entries={
+                ("T", Subset.ONLY_A): PolicyEntry(0.4, 1, 1),
+                ("U", Subset.ONLY_A): PolicyEntry(0.7, 1, 1),
+            },
+        )
+        kept = ""
+        for seed in range(40):
+            edits = apply_policy(a, empty_system(a.corpus), policy, seed=seed)[0].edits
+            kept += edits[0].replacement if edits else "-"
+        assert kept == "-yyyyy-xyyyxyxxyxxyxxy--yx-yy-y--xyyx-x-"
+
+
+def _token_changed(corpus, index):
+    """The corpus with sentence `index`'s first token replaced, same length."""
+    sent = corpus[index]
+    changed = AnnotatedSentence(("zzz",) + sent.tokens[1:], sent.edits)
+    return M2Corpus(corpus.sentences[:index] + (changed,) + corpus.sentences[index + 1:])
+
+
+class TestSourceAlignment:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda systems, gold: train_policy(systems[0], systems[1], gold),
+            lambda systems, gold: filter_system(systems[0], gold),
+            lambda systems, gold: combine_iterative(systems, gold),
+        ],
+        ids=["train_policy", "filter_system", "combine_iterative"],
+    )
+    def test_gold_token_mismatch_rejected(self, run):
+        systems, gold = slot_fixture(random.Random(3), n_systems=3)
+        with pytest.raises(CorpusAlignmentError, match="source tokens differ") as err:
+            run(systems, _token_changed(gold, 2))
+        assert err.value.index == 2
+
+    def test_system_mismatch_reported_before_gold_mismatch(self):
+        (a, b), gold = slot_fixture(random.Random(3))
+        b = SystemOutput(b.name, _token_changed(b.corpus, 4))
+        with pytest.raises(CorpusAlignmentError) as err:
+            train_policy(a, b, _token_changed(gold, 2))
+        assert err.value.index == 4
 
 
 class TestTrainAndDominance:

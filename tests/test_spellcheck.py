@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gecmerge import build_model, correct_sentence, is_suspect, suggest
-from gecmerge.distance import (
-    damerau_levenshtein,
-    is_character_swap,
-    is_levenshtein_one,
-    levenshtein,
-)
+from gecmerge.distance import damerau_levenshtein, is_character_swap, is_levenshtein_one
 from gecmerge.spellcheck import (
     FrequencyModel,
     count_words,
@@ -19,6 +14,7 @@ from gecmerge.spellcheck import (
     load_model,
     save_model,
 )
+from helpers import levenshtein
 
 
 class TestDistances:

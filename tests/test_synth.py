@@ -117,6 +117,14 @@ class TestMeasureDistribution:
         with pytest.raises(ValueError):
             ErrorDistribution({0: 1.0}, {CorrectionId("a", "b", "T"): 0.5})
 
+    @pytest.mark.parametrize(
+        "source, replacement, etype",
+        [(" ", "a", "R:X"), ("a", " the", "R:X"), ("a", "the\tcat", "R:X"), ("a b ", "", "U:X"), ("a", "b", "")],
+    )
+    def test_correction_id_rejects_non_canonical_text(self, source, replacement, etype):
+        with pytest.raises(ValueError, match="correction"):
+            CorrectionId(source, replacement, etype)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_probability_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
